@@ -21,6 +21,8 @@ from mixedcode.core import (
     BudgetError,
     ParseError,
     SplitMismatchError,
+    format_bits,
+    format_rows,
     format_vector,
 )
 from mixedcode.cyclic import (
@@ -113,13 +115,12 @@ def _type_payload(t) -> dict:
     }
 
 
-def _sorted_original(C: CodewordSet, perm) -> list:
-    """Codewords mapped back through the column permutation, in canonical
-    order of the original frame."""
-    inv = perm.inverse()
-    words = [inv.apply_to_vector(c) for c in C]
-    words.sort(key=lambda v: v.entries())
-    return words
+def _sorted_original(C: CodewordSet, perm) -> np.ndarray:
+    """Codeword rows mapped back through the column permutation, in
+    canonical order of the original frame."""
+    out = np.empty_like(C.array)
+    out[:, perm.source_index()] = C.array
+    return CodewordSet(C.split, out).array
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +173,7 @@ def _cmd_enumerate(args) -> int:
     G = parse_matrix(_read(args.matrix))
     blocks, perm = standard_form(G)
     C = enumerate_codewords(blocks, _budget(args))
-    words = _sorted_original(C, perm)
-    formatted = [format_vector(c) for c in words]
+    formatted = format_rows(G.split, _sorted_original(C, perm))
     payload = {"count": len(formatted), "codewords": formatted}
     _emit(args, formatted, payload)
     return EXIT_OK
@@ -183,9 +183,7 @@ def _cmd_gray(args) -> int:
     G = parse_matrix(_read(args.matrix))
     blocks, perm = standard_form(G)
     C = enumerate_codewords(blocks, _budget(args))
-    original = CodewordSet.from_vectors(G.split, _sorted_original(C, perm))
-    bits = gray_rows(G.split, original.array)
-    words = ["".join(str(int(b)) for b in row) for row in bits]
+    words = format_bits(gray_rows(G.split, _sorted_original(C, perm)))
     payload = {"count": len(words), "length": G.split.gray_length, "words": words}
     _emit(args, words, payload)
     return EXIT_OK
@@ -299,7 +297,7 @@ def _oracle_matrix(text: str, budget: EnumerationBudget) -> list:
     blocks, perm = standard_form(G)
     C = closure_from_rows(G, budget)
     C_std = enumerate_codewords(blocks, budget)
-    mapped = CodewordSet.from_vectors(split, [perm.apply_to_vector(c) for c in C])
+    mapped = CodewordSet(split, C.array[:, perm.source_index()])
     checks.append((
         "standard-form span equality",
         mapped == C_std,

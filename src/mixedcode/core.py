@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 MODULI = (2, 4, 8)
 
 # Gray images of Z4 entries: consecutive values differ in one bit.
@@ -221,6 +223,29 @@ def hamming_weight(bits: Sequence[int]) -> int:
 def format_vector(x: MixedVector) -> str:
     """Render as `1 0 | 0 0 2 | 0 0 0 4`; empty blocks leave their slot blank."""
     return " | ".join(" ".join(str(e) for e in block) for block in (x.u, x.v, x.w))
+
+
+def _fill_digits(template: str, arr: np.ndarray) -> list[str]:
+    """One line per row of `arr`: the template with its i-th "0" replaced by
+    the row's i-th entry. Entries must be single digits."""
+    slots = [i for i, ch in enumerate(template) if ch == "0"]
+    lines = np.tile(np.frombuffer(template.encode("ascii") + b"\n", dtype=np.uint8), (arr.shape[0], 1))
+    lines[:, slots] = arr + ord("0")
+    return lines.tobytes().decode("ascii").splitlines()
+
+
+def format_rows(split: AlphabetSplit, arr: np.ndarray) -> list[str]:
+    """format_vector of each row of an (m, alpha + beta + theta) entry array.
+
+    Every entry is one digit, so every word has the zero word's layout; the
+    rows are written into that layout at once instead of word by word.
+    """
+    return _fill_digits(format_vector(MixedVector.zero(split)), arr)
+
+
+def format_bits(bits: np.ndarray) -> list[str]:
+    """Each row of a 0/1 array as a string of digits, as `gray` prints it."""
+    return _fill_digits("0" * bits.shape[1], bits)
 
 
 def parse_vector(text: str, split: AlphabetSplit, line: int | None = None) -> MixedVector:

@@ -54,31 +54,45 @@ def _row_entries(x: MixedVector) -> np.ndarray:
 
 
 def _keys(split: AlphabetSplit, arr: np.ndarray):
-    """Pack rows into uint64 keys (1/2/3 bits per coordinate) when they fit,
-    else fall back to row bytes."""
+    """Pack rows into uint64 keys, 1/2/3 bits per Z2/Z4/Z8 coordinate with
+    the first coordinate most significant, when they fit; else fall back to
+    row bytes.
+
+    Invariant: key order = lexicographic row order = canonical order, so
+    sorting keys sorts rows the way CodewordSet stores them.
+    """
     if split.ambient_exponent <= 64:
-        widths = [1] * split.alpha + [2] * split.beta + [3] * split.theta
-        offsets = np.cumsum([0] + widths[:-1])
-        weights = (np.uint64(1) << offsets.astype(np.uint64))
-        return (arr.astype(np.uint64) * weights).sum(axis=1)
+        widths = np.array([1] * split.alpha + [2] * split.beta + [3] * split.theta, dtype=np.uint64)
+        shifts = np.cumsum(widths[::-1])[::-1] - widths
+        return (arr.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
     return [row.tobytes() for row in np.ascontiguousarray(arr)]
 
 
-def _unique_rows(arr: np.ndarray) -> np.ndarray:
+def _unique_rows(split: AlphabetSplit, arr: np.ndarray) -> np.ndarray:
+    """Distinct rows in lexicographic order, deduplicated on packed keys
+    (by np.unique on the rows themselves when they exceed 64 bits)."""
     if arr.shape[0] <= 1:
         return arr.copy()
-    return np.unique(arr, axis=0)
+    if split.ambient_exponent > 64:
+        return np.unique(arr, axis=0)
+    _, first = np.unique(_keys(split, arr), return_index=True)
+    return arr[first]
 
 
 class CodewordSet:
-    """A set of mixed words over one split, canonically stored."""
+    """A set of mixed words over one split, canonically stored: distinct
+    rows of a uint8 array in lexicographic order, which is also the order of
+    their packed keys (see `_keys`)."""
 
     __slots__ = ("split", "array", "_keyset")
 
     def __init__(self, split: AlphabetSplit, array: np.ndarray):
         array = np.asarray(array, dtype=np.uint8).reshape(-1, split.alpha + split.beta + split.theta)
+        if np.any(array >= _moduli_row(split)):
+            # Packed keys give each entry only the bits of its modulus.
+            raise ValueError(f"entries out of range for split {split}")
         object.__setattr__(self, "split", split)
-        object.__setattr__(self, "array", _unique_rows(array))
+        object.__setattr__(self, "array", _unique_rows(split, array))
         object.__setattr__(self, "_keyset", None)
 
     def __setattr__(self, name, value):
@@ -208,7 +222,7 @@ def closure_from_rows(M: MixedMatrix, budget: EnumerationBudget | None = None) -
             block = words[start:start + step]
             cand = ((block[:, None, :] + mults[None, :, :]) % mods8).reshape(-1, width)
             acc = cand if acc is None else np.concatenate([acc, cand])
-            acc = _unique_rows(acc)
+            acc = _unique_rows(split, acc)
             if acc.shape[0] > budget.max_codewords:
                 raise BudgetError("span exceeds the codeword budget", acc.shape[0])
         words = acc
@@ -383,8 +397,15 @@ def _lee_weights(arr_v: np.ndarray, arr_w: np.ndarray) -> np.ndarray:
 
 
 def _exact_distance(C: CodewordSet, pair_limit: int = 1 << 26) -> DistanceResult:
+    n = len(C)
+    # Refuse before building anything. A refused set always has nonzero
+    # words (n > 1), so no answer of "undefined" is lost.
+    if n * n > pair_limit:
+        raise BudgetError(
+            "exact distance needs an all-pairs sweep this large; use search mode",
+            n * n,
+        )
     bits = gray_rows(C.split, C.array).astype(np.uint8)
-    n = bits.shape[0]
     weights = bits.sum(axis=1, dtype=np.int64)
     nonzero = weights[np.any(C.array, axis=1)]
     if nonzero.size == 0:
@@ -392,26 +413,21 @@ def _exact_distance(C: CodewordSet, pair_limit: int = 1 << 26) -> DistanceResult
     # If the image is closed under XOR the distance is the min nonzero weight.
     packed = np.packbits(bits, axis=1)
     keyset = {row.tobytes() for row in packed}
-    if n * n <= pair_limit:
-        closed = True
-        for i in range(n):
-            xors = np.packbits(bits ^ bits[i], axis=1)
-            if any(row.tobytes() not in keyset for row in xors):
-                closed = False
-                break
-        if closed:
-            return DistanceResult(int(nonzero.min()), True, n)
-        best = None
-        for i in range(n):
-            d = (bits[i + 1:] != bits[i]).sum(axis=1)
-            if d.size:
-                m = int(d.min())
-                best = m if best is None else min(best, m)
-        return DistanceResult(best, True, n * (n - 1) // 2)
-    raise BudgetError(
-        "exact distance needs an all-pairs sweep this large; use search mode",
-        n * n,
-    )
+    closed = True
+    for i in range(n):
+        xors = np.packbits(bits ^ bits[i], axis=1)
+        if any(row.tobytes() not in keyset for row in xors):
+            closed = False
+            break
+    if closed:
+        return DistanceResult(int(nonzero.min()), True, n)
+    best = None
+    for i in range(n):
+        d = (bits[i + 1:] != bits[i]).sum(axis=1)
+        if d.size:
+            m = int(d.min())
+            best = m if best is None else min(best, m)
+    return DistanceResult(best, True, n * (n - 1) // 2)
 
 
 def _binary_only_span(M: MixedMatrix, cap: int = 1 << 16) -> np.ndarray:
@@ -423,7 +439,7 @@ def _binary_only_span(M: MixedMatrix, cap: int = 1 << 16) -> np.ndarray:
     span = np.zeros((1, alpha), dtype=np.uint8)
     for i in pure:
         row = U[i].astype(np.uint8)
-        span = _unique_rows(np.vstack([span, (span + row) % 2]).astype(np.uint8))
+        span = _unique_rows(AlphabetSplit(alpha, 0, 0), np.vstack([span, (span + row) % 2]).astype(np.uint8))
         if span.shape[0] > cap:
             # Too many completions to minimize over; let the random sweep
             # handle these rows instead.
@@ -465,7 +481,7 @@ def _search_distance(M: MixedMatrix, seed: int = 0, rounds: int = 4000) -> Dista
         for c in range(size):
             sampled += coefs[:, c:c + 1] * rows[np.array(mixed_idx)[picks[:, c]]]
         candidates.append(sampled % mods)
-    cand = _unique_rows(np.vstack(candidates).astype(np.uint8)).astype(np.int64)
+    cand = _unique_rows(split, np.vstack(candidates).astype(np.uint8)).astype(np.int64)
     nonzero = cand[np.any(cand, axis=1)]
 
     best = None

@@ -178,6 +178,17 @@ class ColumnPermutation:
             return tuple(out)
         return ColumnPermutation(inv(self.z2), inv(self.z4), inv(self.z8))
 
+    def source_index(self) -> np.ndarray:
+        """Source column of each position across the concatenated
+        Z2 | Z4 | Z8 columns: `rows[:, idx]` permutes word rows, and
+        `out[:, idx] = rows` undoes the permutation."""
+        a, b = len(self.z2), len(self.z4)
+        return np.concatenate([
+            np.array(self.z2, dtype=np.intp),
+            a + np.array(self.z4, dtype=np.intp),
+            a + b + np.array(self.z8, dtype=np.intp),
+        ])
+
     def apply_to_vector(self, x: MixedVector) -> MixedVector:
         return MixedVector(
             x.split,

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import mixedcode as mc
+import oracles
 from mixedcode.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -52,6 +53,54 @@ def test_gray_emits_bitstrings(capsys):
     code, out, _ = run(capsys, "additive", "gray", ZERO)
     assert code == 0
     assert out.splitlines() == ["0" * 24]
+
+
+# Each split leaves one block empty, and the last has all three; every
+# standard form here permutes columns, so the listing must undo it.
+LISTING_CASES = (
+    ((0, 2, 3), ("| 2 1 | 0 0 0", "| 0 0 | 2 1 4", "| 1 3 | 6 0 2")),
+    ((2, 0, 3), ("0 1 | | 2 0 1", "1 0 | | 4 4 0")),
+    ((2, 3, 0), ("0 1 | 0 2 1 |", "1 1 | 2 0 0 |")),
+    ((1, 2, 2), ("1 | 2 1 | 0 4", "0 | 0 1 | 2 1", "1 | 1 0 | 3 6")),
+)
+LISTING_IDS = ["-".join(map(str, split)) for split, _ in LISTING_CASES]
+
+
+def _listing_file(tmp_path, split, rows):
+    path = tmp_path / "listing.mtx"
+    path.write_text(" ".join(map(str, split)) + "\n" + "\n".join(rows) + "\n")
+    blocks, perm = mc.standard_form(mc.load_matrix(path))
+    assert not perm.is_identity()
+    triples = [tuple(tuple(int(e) for e in block.split()) for block in row.split("|")) for row in rows]
+    return str(path), sorted(oracles.span_words(split, triples))
+
+
+def _render(split, flat):
+    a, b, _ = split
+    blocks = (flat[:a], flat[a:a + b], flat[a + b:])
+    return " | ".join(" ".join(str(e) for e in block) for block in blocks)
+
+
+@pytest.mark.parametrize("split, rows", LISTING_CASES, ids=LISTING_IDS)
+def test_enumerate_lists_the_span_in_canonical_order(capsys, tmp_path, split, rows):
+    path, words = _listing_file(tmp_path, split, rows)
+    lines = [_render(split, w) for w in words]
+    code, out, _ = run(capsys, "additive", "enumerate", path)
+    assert code == 0 and out == "\n".join(lines) + "\n"
+    code, out, _ = run(capsys, "additive", "enumerate", path, "--json")
+    expected = {"count": len(lines), "codewords": lines}
+    assert code == 0 and out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("split, rows", LISTING_CASES, ids=LISTING_IDS)
+def test_gray_lists_images_in_canonical_word_order(capsys, tmp_path, split, rows):
+    path, words = _listing_file(tmp_path, split, rows)
+    lines = ["".join(str(b) for b in oracles.gray(split, w)) for w in words]
+    code, out, _ = run(capsys, "additive", "gray", path)
+    assert code == 0 and out == "\n".join(lines) + "\n"
+    code, out, _ = run(capsys, "additive", "gray", path, "--json")
+    expected = {"count": len(lines), "length": len(lines[0]), "words": lines}
+    assert code == 0 and out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_mindist_text(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -181,6 +182,14 @@ def test_parse_format_round_trip():
     x = mc.parse_vector(text, s)
     assert mc.format_vector(x) == text
     assert mc.parse_vector(mc.format_vector(x), s) == x
+
+
+@given(vectors(count=3))
+def test_row_formatting_matches_the_single_word_forms(words):
+    entries = np.array([w.entries() for w in words], dtype=np.uint8).reshape(3, -1)
+    assert mc.format_rows(words[0].split, entries) == [mc.format_vector(w) for w in words]
+    bits = np.array([mc.gray_map(w) for w in words], dtype=np.uint8)
+    assert mc.format_bits(bits) == ["".join(map(str, mc.gray_map(w))) for w in words]
 
 
 def test_parse_vector_errors_carry_line_numbers():

@@ -3,9 +3,11 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mixedcode as mc
+from mixedcode import enumeration
 import goldens
 import oracles
 
@@ -56,6 +58,25 @@ def test_codeword_set_api():
     assert len(list(iter(C))) == len(C)
     again = mc.CodewordSet.from_vectors(G.split, list(C))
     assert again == C
+
+
+@pytest.mark.parametrize("split", [(3, 4, 5), (0, 0, 21), (64, 0, 0), (1, 0, 21), (65, 0, 0), (0, 33, 0), (5, 10, 20)], ids=lambda s: "-".join(map(str, s)))
+def test_unique_rows_matches_lexicographic_row_sort(split):
+    # Exponents 26 to 64 dedupe on packed keys; 65 and above on row bytes.
+    s = mc.AlphabetSplit(*split)
+    mods = np.array([2] * s.alpha + [4] * s.beta + [8] * s.theta)
+    rng = np.random.default_rng(sum(split))
+    sparse = rng.integers(0, mods, size=(300, mods.size)) * (rng.random((300, mods.size)) < 0.2)
+    arr = sparse.astype(np.uint8)
+    arr = np.vstack([arr, arr[rng.integers(0, 300, size=200)]])
+    expected = np.unique(arr, axis=0)
+    assert len(expected) < len(arr)
+    assert np.array_equal(enumeration._unique_rows(s, arr), expected)
+
+
+def test_codeword_set_rejects_out_of_range_entries():
+    with pytest.raises(ValueError, match="out of range"):
+        mc.CodewordSet(mc.AlphabetSplit(2, 0, 0), np.array([[2, 0], [1, 0]]))
 
 
 def test_subgroup_check_and_witness():
@@ -135,6 +156,18 @@ def test_exact_distance_golden():
 def test_trivial_code_has_undefined_distance():
     result = mc.min_gray_distance(mc.parse_matrix("1 1 1\n0 | 0 | 0"))
     assert result.value is None and result.exact
+
+
+def test_exact_distance_refuses_before_building_the_gray_image(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the Gray image was built before the refusal")
+
+    monkeypatch.setattr(enumeration, "gray_rows", unreachable)
+    identity = ["| | " + " ".join("1" if j == i else "0" for j in range(5)) for i in range(5)]
+    G = mc.parse_matrix("0 0 5\n" + "\n".join(identity))
+    with pytest.raises(mc.BudgetError) as info:
+        mc.min_gray_distance(G)
+    assert info.value.required == (1 << 15) ** 2
 
 
 def test_search_mode_bounds_and_is_deterministic():
