@@ -40,7 +40,6 @@ from mixedcode.enumeration import (
     CodewordSet,
     EnumerationBudget,
     brute_force_dual,
-    check_subgroup,
     closure_from_rows,
     enumerate_codewords,
     gray_rows,
@@ -303,12 +302,8 @@ def _oracle_matrix(text: str, budget: EnumerationBudget) -> list:
         mapped == C_std,
         f"closure {len(C)} word{'s' if len(C) != 1 else ''}, enumeration {len(C_std)}",
     ))
-    closed = check_subgroup(C, budget)
-    checks.append((
-        "span subgroup closure",
-        closed,
-        "" if closed else (subgroup_witness(C, budget) or ""),
-    ))
+    violation = subgroup_witness(C, budget)
+    checks.append(("span subgroup closure", violation is None, violation or ""))
     minimal_rows = len(blocks.matrix().rows)
     if len(G.rows) > minimal_rows:
         # More rows than a minimal generating set: treat the file as a
@@ -373,12 +368,8 @@ def _oracle_generators(text: str, budget: EnumerationBudget) -> list:
         raise BudgetError("span exceeds the codeword budget", size)
     C = closure_from_rows(sset.matrix, budget)
     checks.append(("size formula vs span", size == len(C), f"formula {size}, span {len(C)}"))
-    closed = check_subgroup(C, budget)
-    checks.append((
-        "span subgroup closure",
-        closed,
-        "" if closed else (subgroup_witness(C, budget) or ""),
-    ))
+    violation = subgroup_witness(C, budget)
+    checks.append(("span subgroup closure", violation is None, violation or ""))
     witness = cyclic_closure_witness(sset.matrix)
     checks.append((
         "shift closure",

@@ -211,11 +211,6 @@ class ResiduePoly:
         return poly_str(list(self.coeffs))
 
 
-def poly_mul_mod(x: ResiduePoly, y: ResiduePoly) -> ResiduePoly:
-    """Product in the shared residue ring."""
-    return x.mul(y)
-
-
 @dataclass(frozen=True)
 class PolyTriple:
     """One codeword as a polynomial triple."""

@@ -20,17 +20,19 @@ from mixedcode.core import (
     BudgetError,
     MixedVector,
     SplitMismatchError,
-    format_vector,
+    format_rows,
 )
 from mixedcode.matrices import MixedMatrix, StandardFormBlocks, cardinality
 
 DEFAULT_MAX_CODEWORDS = 1 << 24
 DEFAULT_MAX_AMBIENT = 1 << 20
+_PAIR_LIMIT = 1 << 26  # word pairs a CodewordSet distance may scan
 
 _PHI1_ARR = np.array(PHI1, dtype=np.uint8)
 _PHI2_ARR = np.array(PHI2, dtype=np.uint8)
-_LEE4 = np.array([0, 1, 2, 1], dtype=np.int64)
-_LEE8 = np.array([0, 1, 2, 3, 4, 3, 2, 1], dtype=np.int64)
+_LEE4 = np.array([0, 1, 2, 1], dtype=np.uint8)
+_LEE8 = np.array([0, 1, 2, 3, 4, 3, 2, 1], dtype=np.uint8)
+_WEIGHT_CHUNK = 1 << 20  # rows per slice of the minimum-weight pass
 
 
 @dataclass(frozen=True)
@@ -53,28 +55,31 @@ def _row_entries(x: MixedVector) -> np.ndarray:
     return np.array(x.entries(), dtype=np.uint8)
 
 
-def _keys(split: AlphabetSplit, arr: np.ndarray):
-    """Pack rows into uint64 keys, 1/2/3 bits per Z2/Z4/Z8 coordinate with
-    the first coordinate most significant, when they fit; else fall back to
-    row bytes.
+def _keys(split: AlphabetSplit, arr: np.ndarray) -> np.ndarray:
+    """One key per row: a uint64 packing 1/2/3 bits per Z2/Z4/Z8 coordinate
+    with the first coordinate most significant when the row fits in 64 bits,
+    else the row's bytes viewed as one np.void.
 
     Invariant: key order = lexicographic row order = canonical order, so
-    sorting keys sorts rows the way CodewordSet stores them.
+    sorting keys sorts rows the way CodewordSet stores them. Void keys
+    compare bytewise, and every entry is below 8, so they order the same way.
     """
     if split.ambient_exponent <= 64:
         widths = np.array([1] * split.alpha + [2] * split.beta + [3] * split.theta, dtype=np.uint64)
         shifts = np.cumsum(widths[::-1])[::-1] - widths
-        return (arr.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
-    return [row.tobytes() for row in np.ascontiguousarray(arr)]
+        # Column by column, so no (m, width) uint64 copy of arr is made.
+        keys = np.zeros(arr.shape[0], dtype=np.uint64)
+        for column, shift in zip(arr.T, shifts):
+            keys += column.astype(np.uint64) << shift
+        return keys
+    rows = np.ascontiguousarray(arr, dtype=np.uint8)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
 def _unique_rows(split: AlphabetSplit, arr: np.ndarray) -> np.ndarray:
-    """Distinct rows in lexicographic order, deduplicated on packed keys
-    (by np.unique on the rows themselves when they exceed 64 bits)."""
+    """Distinct rows in lexicographic order, deduplicated on their keys."""
     if arr.shape[0] <= 1:
         return arr.copy()
-    if split.ambient_exponent > 64:
-        return np.unique(arr, axis=0)
     _, first = np.unique(_keys(split, arr), return_index=True)
     return arr[first]
 
@@ -82,9 +87,10 @@ def _unique_rows(split: AlphabetSplit, arr: np.ndarray) -> np.ndarray:
 class CodewordSet:
     """A set of mixed words over one split, canonically stored: distinct
     rows of a uint8 array in lexicographic order, which is also the order of
-    their packed keys (see `_keys`)."""
+    their packed keys (see `_keys`), so the keys of `array` are sorted and
+    membership is a binary search."""
 
-    __slots__ = ("split", "array", "_keyset")
+    __slots__ = ("split", "array", "_keys")
 
     def __init__(self, split: AlphabetSplit, array: np.ndarray):
         array = np.asarray(array, dtype=np.uint8).reshape(-1, split.alpha + split.beta + split.theta)
@@ -93,7 +99,7 @@ class CodewordSet:
             raise ValueError(f"entries out of range for split {split}")
         object.__setattr__(self, "split", split)
         object.__setattr__(self, "array", _unique_rows(split, array))
-        object.__setattr__(self, "_keyset", None)
+        object.__setattr__(self, "_keys", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CodewordSet is immutable")
@@ -118,19 +124,21 @@ class CodewordSet:
     def __hash__(self):
         return hash((self.split, self.array.tobytes()))
 
-    def _key_lookup(self):
-        if self._keyset is None:
-            keys = _keys(self.split, self.array)
-            lookup = set(keys.tolist()) if isinstance(keys, np.ndarray) else set(keys)
-            object.__setattr__(self, "_keyset", lookup)
-        return self._keyset
+    def _contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Boolean mask: which rows of an (m, width) uint8 array, entries in
+        range for the split, are in the set."""
+        if self._keys is None:
+            object.__setattr__(self, "_keys", _keys(self.split, self.array))
+        probe = _keys(self.split, rows)
+        if not self._keys.size:
+            return np.zeros(probe.shape[0], dtype=bool)
+        pos = np.minimum(np.searchsorted(self._keys, probe), self._keys.size - 1)
+        return self._keys[pos] == probe
 
     def __contains__(self, x: MixedVector) -> bool:
         if x.split != self.split:
             return False
-        key = _keys(self.split, _row_entries(x).reshape(1, -1))[0]
-        probe = key if isinstance(key, bytes) else int(key)
-        return probe in self._key_lookup()
+        return bool(self._contains_rows(_row_entries(x).reshape(1, -1))[0])
 
     def __iter__(self):
         a, b, _ = self.split
@@ -231,50 +239,14 @@ def closure_from_rows(M: MixedMatrix, budget: EnumerationBudget | None = None) -
 
 def check_subgroup(S: CodewordSet, budget: EnumerationBudget | None = None) -> bool:
     """True iff S contains 0 and is closed under addition and the scalar
-    action; checked pair by pair."""
-    budget = budget or EnumerationBudget()
-    n = len(S)
-    if n > budget.max_codewords:
-        raise BudgetError("set too large for the subgroup check", n)
-    if n == 0:
-        return False
-    arr = S.array.astype(np.int64)
-    mods = _moduli_row(S.split).astype(np.int64)
-    if np.any(arr[0]):  # canonical order puts the zero word first if present
-        return False
-    lookup = S._key_lookup()
-
-    def all_present(rows: np.ndarray) -> bool:
-        keys = _keys(S.split, rows.astype(np.uint8))
-        if isinstance(keys, np.ndarray):
-            return all(k in lookup for k in keys.tolist())
-        return all(k in lookup for k in keys)
-
-    for d in range(2, 8):
-        if not all_present((d * arr) % mods):
-            return False
-    chunk = max(1, (1 << 22) // max(n, 1))
-    for start in range(0, n, chunk):
-        part = arr[start:start + chunk]
-        sums = (part[:, None, :] + arr[None, :, :]) % mods
-        if not all_present(sums.reshape(-1, arr.shape[1])):
-            return False
-    return True
-
-
-def _row_vector(split: AlphabetSplit, row) -> MixedVector:
-    a, b, _ = split
-    return MixedVector(
-        split,
-        tuple(int(e) for e in row[:a]),
-        tuple(int(e) for e in row[a:a + b]),
-        tuple(int(e) for e in row[a + b:]),
-    )
+    action."""
+    return subgroup_witness(S, budget) is None
 
 
 def subgroup_witness(S: CodewordSet, budget: EnumerationBudget | None = None):
     """None if S is a subgroup, else a message naming the first violation
-    in scan order: missing zero word, scalar multiple, or pairwise sum."""
+    in scan order: missing zero word, scalar multiple d * x for d = 2..7 and
+    x in order, or pairwise sum x + y with x, then y, in order."""
     budget = budget or EnumerationBudget()
     n = len(S)
     if n > budget.max_codewords:
@@ -282,30 +254,31 @@ def subgroup_witness(S: CodewordSet, budget: EnumerationBudget | None = None):
     split = S.split
     if n == 0:
         return "empty set: the zero word is missing"
-    arr = S.array.astype(np.int64)
-    mods = _moduli_row(split).astype(np.int64)
-    if np.any(arr[0]):
+    arr = S.array
+    if np.any(arr[0]):  # canonical order puts the zero word first if present
         return "the zero word is missing"
-    lookup = S._key_lookup()
+    # Every modulus is a power of two; entries stay below 8, so uint8
+    # products and sums cannot wrap before the mask reduces them.
+    masks = _moduli_row(split) - 1
 
-    def first_missing(rows: np.ndarray):
-        keys = _keys(split, (rows % mods).astype(np.uint8))
-        seq = keys.tolist() if isinstance(keys, np.ndarray) else keys
-        for idx, key in enumerate(seq):
-            if key not in lookup:
-                return idx
-        return None
+    def show(row) -> str:
+        return format_rows(split, row.reshape(1, -1))[0]
 
     for d in range(2, 8):
-        idx = first_missing(d * arr)
-        if idx is not None:
-            return f"{d} * ({format_vector(_row_vector(split, arr[idx]))}) is not in the set"
-    for i in range(n):
-        idx = first_missing(arr[i] + arr)
-        if idx is not None:
-            left = format_vector(_row_vector(split, arr[i]))
-            right = format_vector(_row_vector(split, arr[idx]))
-            return f"({left}) + ({right}) is not in the set"
+        missing = np.flatnonzero(~S._contains_rows((d * arr) & masks))
+        if missing.size:
+            return f"{d} * ({show(arr[missing[0]])}) is not in the set"
+    # Addition commutes, so the first failing pair (x_i, x_j) in row-major
+    # order has j >= i: a failure at j < i is the pair (x_j, x_i), met
+    # earlier. Pairing each chunk of rows with the words from its own start
+    # on therefore finds the same first pair with about half the sums.
+    chunk = max(1, (1 << 22) // n)
+    for start in range(0, n, chunk):
+        sums = (arr[start:start + chunk, None, :] + arr[None, start:, :]) & masks
+        missing = np.flatnonzero(~S._contains_rows(sums.reshape(-1, arr.shape[1])))
+        if missing.size:
+            i, j = divmod(int(missing[0]), n - start)
+            return f"({show(arr[start + i])}) + ({show(arr[start + j])}) is not in the set"
     return None
 
 
@@ -390,43 +363,34 @@ class DistanceResult:
 def _lee_weights(arr_v: np.ndarray, arr_w: np.ndarray) -> np.ndarray:
     total = np.zeros(arr_v.shape[0], dtype=np.int64)
     if arr_v.shape[1]:
-        total += _LEE4[arr_v].sum(axis=1)
+        total += _LEE4[arr_v].sum(axis=1, dtype=np.int64)
     if arr_w.shape[1]:
-        total += _LEE8[arr_w].sum(axis=1)
+        total += _LEE8[arr_w].sum(axis=1, dtype=np.int64)
     return total
 
 
-def _exact_distance(C: CodewordSet, pair_limit: int = 1 << 26) -> DistanceResult:
-    n = len(C)
-    # Refuse before building anything. A refused set always has nonzero
-    # words (n > 1), so no answer of "undefined" is lost.
-    if n * n > pair_limit:
-        raise BudgetError(
-            "exact distance needs an all-pairs sweep this large; use search mode",
-            n * n,
-        )
-    bits = gray_rows(C.split, C.array).astype(np.uint8)
-    weights = bits.sum(axis=1, dtype=np.int64)
-    nonzero = weights[np.any(C.array, axis=1)]
-    if nonzero.size == 0:
-        return DistanceResult(None, True, n)
-    # If the image is closed under XOR the distance is the min nonzero weight.
-    packed = np.packbits(bits, axis=1)
-    keyset = {row.tobytes() for row in packed}
-    closed = True
-    for i in range(n):
-        xors = np.packbits(bits ^ bits[i], axis=1)
-        if any(row.tobytes() not in keyset for row in xors):
-            closed = False
-            break
-    if closed:
-        return DistanceResult(int(nonzero.min()), True, n)
+def _min_weight(C: CodewordSet) -> DistanceResult:
+    """Minimum nonzero Gray weight of C: Hamming weight of the Z2 block plus
+    Lee weight of the Z4 and Z8 blocks. Taken over slices of rows, so the
+    pass adds memory for one slice, not for all of C."""
+    a, b, _ = C.split
     best = None
-    for i in range(n):
-        d = (bits[i + 1:] != bits[i]).sum(axis=1)
-        if d.size:
-            m = int(d.min())
-            best = m if best is None else min(best, m)
+    for start in range(0, len(C), _WEIGHT_CHUNK):
+        part = C.array[start:start + _WEIGHT_CHUNK]
+        weights = part[:, :a].sum(axis=1, dtype=np.int64) + _lee_weights(part[:, a:a + b], part[:, a + b:])
+        nonzero = weights[weights > 0]
+        if nonzero.size:
+            best = int(nonzero.min()) if best is None else min(best, int(nonzero.min()))
+    return DistanceResult(best, True, len(C))
+
+
+def _pairwise_distance(C: CodewordSet) -> DistanceResult:
+    n = len(C)
+    bits = gray_rows(C.split, C.array)
+    best = None
+    for i in range(n - 1):
+        m = int((bits[i + 1:] != bits[i]).sum(axis=1).min())
+        best = m if best is None else min(best, m)
     return DistanceResult(best, True, n * (n - 1) // 2)
 
 
@@ -521,6 +485,13 @@ def min_gray_distance(obj, budget: EnumerationBudget | None = None, mode: str = 
     enumerates and computes the true distance; search mode reports an upper
     bound from a bounded sweep. mode="auto" tries exact within budget and
     falls back to search.
+
+    For a matrix or blocks, whose span C is a subgroup, the exact distance
+    is the minimum nonzero Gray weight, scanned once over C: C - C = C, and the Gray maps PHI1 and PHI2
+    carry Lee distance on Z4 and Z8 to Hamming distance, so the Gray distance
+    of x and y is the Gray weight of x - y. A CodewordSet, subgroup or not,
+    is swept pair by pair; above _PAIR_LIMIT pairs it is refused before
+    anything is built.
     """
     budget = budget or EnumerationBudget()
     if mode not in ("auto", "exact", "search"):
@@ -528,9 +499,17 @@ def min_gray_distance(obj, budget: EnumerationBudget | None = None, mode: str = 
     if isinstance(obj, CodewordSet):
         if mode == "search":
             raise ValueError("search mode needs generator rows, not a codeword set")
-        if len(obj) > budget.max_codewords:
-            raise BudgetError("codeword set exceeds the exact-mode budget; use search mode on the matrix", len(obj))
-        return _exact_distance(obj)
+        n = len(obj)
+        if n > budget.max_codewords:
+            raise BudgetError("codeword set exceeds the exact-mode budget; use search mode on the matrix", n)
+        # A refused set always has nonzero words (n > 1), so no answer of
+        # "undefined" is lost.
+        if n * n > _PAIR_LIMIT:
+            raise BudgetError(
+                "exact distance needs an all-pairs sweep this large; use search mode",
+                n * n,
+            )
+        return _pairwise_distance(obj)
     if isinstance(obj, StandardFormBlocks):
         blocks, matrix = obj, obj.matrix()
     elif isinstance(obj, MixedMatrix):
@@ -543,5 +522,5 @@ def min_gray_distance(obj, budget: EnumerationBudget | None = None, mode: str = 
     if mode == "exact" or (mode == "auto" and size <= budget.max_codewords):
         if size > budget.max_codewords:
             raise BudgetError("code too large for exact mode; use search mode", size)
-        return _exact_distance(enumerate_codewords(blocks, budget))
+        return _min_weight(enumerate_codewords(blocks, budget))
     return _search_distance(matrix, seed=seed)

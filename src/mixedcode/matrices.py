@@ -28,6 +28,7 @@ if any product is nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +80,9 @@ _PHASES = (
     (2, 1, 1),
     (5, 2, 2),
 )
+
+# The section holding each row class's scaled identity.
+_PIVOT_SECTION = tuple(next(s for s, rule in _TEMPLATE[c].items() if rule == "I") for c in range(6))
 
 # Reduction order for membership tests: each class's rows are zero at the
 # pivot columns of every class later in this order, so greedy coefficient
@@ -298,21 +302,8 @@ class StandardFormBlocks:
 
     def col_slice(self, section: str):
         """(block array, column slice) for a named section."""
-        t = self.code_type
-        z4_off = (0, t.k1, t.k1 + t.k2, t.beta)
-        z8_off = (0, t.k3, t.k3 + t.k4, t.k3 + t.k4 + t.k5, t.theta)
-        table = {
-            "z2_id": (self.U, slice(0, t.k0)),
-            "z2_rest": (self.U, slice(t.k0, t.alpha)),
-            "z4_id": (self.V, slice(z4_off[0], z4_off[1])),
-            "z4_two": (self.V, slice(z4_off[1], z4_off[2])),
-            "z4_rest": (self.V, slice(z4_off[2], z4_off[3])),
-            "z8_id": (self.W, slice(z8_off[0], z8_off[1])),
-            "z8_two": (self.W, slice(z8_off[1], z8_off[2])),
-            "z8_four": (self.W, slice(z8_off[2], z8_off[3])),
-            "z8_rest": (self.W, slice(z8_off[3], z8_off[4])),
-        }
-        return table[section]
+        b, cols = _sections(self.code_type)[section]
+        return (self.U, self.V, self.W)[b], cols
 
     def cell(self, row_class: int, section: str):
         """The stored submatrix for one template cell (scale included)."""
@@ -320,29 +311,38 @@ class StandardFormBlocks:
         return arr[self.row_slice(row_class), cols]
 
 
+@lru_cache(maxsize=64)
+def _sections(t: CodeType) -> dict:
+    """Section name -> (block index 0/1/2 for Z2/Z4/Z8, column slice) in
+    the permuted frame of a type-t template. Cached per type, because
+    `reduce_vector` reads it on every membership test; callers must not
+    mutate it."""
+    z4 = (0, t.k1, t.k1 + t.k2, t.beta)
+    z8 = (0, t.k3, t.k3 + t.k4, t.k3 + t.k4 + t.k5, t.theta)
+    return {
+        "z2_id": (0, slice(0, t.k0)),
+        "z2_rest": (0, slice(t.k0, t.alpha)),
+        "z4_id": (1, slice(z4[0], z4[1])),
+        "z4_two": (1, slice(z4[1], z4[2])),
+        "z4_rest": (1, slice(z4[2], z4[3])),
+        "z8_id": (2, slice(z8[0], z8[1])),
+        "z8_two": (2, slice(z8[1], z8[2])),
+        "z8_four": (2, slice(z8[2], z8[3])),
+        "z8_rest": (2, slice(z8[3], z8[4])),
+    }
+
+
 def _check_template(t: CodeType, U, V, W) -> None:
     """Raise if (U, V, W) does not fit the block template for type t."""
-    holder = {"U": U, "V": V, "W": W}
-    z4_off = (0, t.k1, t.k1 + t.k2, t.beta)
-    z8_off = (0, t.k3, t.k3 + t.k4, t.k3 + t.k4 + t.k5, t.theta)
-    sections = {
-        "z2_id": ("U", slice(0, t.k0)),
-        "z2_rest": ("U", slice(t.k0, t.alpha)),
-        "z4_id": ("V", slice(z4_off[0], z4_off[1])),
-        "z4_two": ("V", slice(z4_off[1], z4_off[2])),
-        "z4_rest": ("V", slice(z4_off[2], z4_off[3])),
-        "z8_id": ("W", slice(z8_off[0], z8_off[1])),
-        "z8_two": ("W", slice(z8_off[1], z8_off[2])),
-        "z8_four": ("W", slice(z8_off[2], z8_off[3])),
-        "z8_rest": ("W", slice(z8_off[3], z8_off[4])),
-    }
+    blocks = (U, V, W)
+    sections = _sections(t)
     row_start = 0
     for cls in range(6):
         rows = slice(row_start, row_start + t.k[cls])
         row_start += t.k[cls]
         for section, rule in _TEMPLATE[cls].items():
-            name, cols = sections[section]
-            cell = holder[name][rows, cols]
+            b, cols = sections[section]
+            cell = blocks[b][rows, cols]
             if rule == "free" or cell.size == 0:
                 continue
             if rule == "I":
@@ -441,11 +441,6 @@ def standard_form(G: MixedMatrix) -> tuple:
     return StandardFormBlocks(t, U, V, W), perm
 
 
-def extract_type(B: StandardFormBlocks) -> CodeType:
-    """The 9-tuple read off the template's identity blocks."""
-    return B.code_type
-
-
 def reduce_vector(x: MixedVector, B: StandardFormBlocks) -> MixedVector:
     """Residual of x after greedy reduction against the template rows.
 
@@ -458,16 +453,13 @@ def reduce_vector(x: MixedVector, B: StandardFormBlocks) -> MixedVector:
     vec = [np.array(x.u, dtype=np.int64), np.array(x.v, dtype=np.int64), np.array(x.w, dtype=np.int64)]
     arrays = (B.U, B.V, B.W)
     t = B.code_type
-    section_start = {
-        0: (0, 0), 1: (1, 0), 2: (1, t.k1),
-        3: (2, 0), 4: (2, t.k3), 5: (2, t.k3 + t.k4),
-    }
+    sections = _sections(t)
     for cls in _REDUCE_ORDER:
         rows = B.row_slice(cls)
-        b, start = section_start[cls]
+        b, cols = sections[_PIVOT_SECTION[cls]]
         scale = _CLASS_SCALE[cls]
         for i in range(t.k[cls]):
-            coef = int(vec[b][start + i]) // scale
+            coef = int(vec[b][cols.start + i]) // scale
             if coef:
                 r = rows.start + i
                 for j in range(3):

@@ -288,7 +288,7 @@ def check_shift_commutation():
             def times_x(poly):
                 coeffs = [0] * poly.length
                 coeffs[1 % poly.length] = 1
-                return mc.poly_mul_mod(mc.ResiduePoly(poly.exponent, poly.length, tuple(coeffs)), poly)
+                return mc.ResiduePoly(poly.exponent, poly.length, tuple(coeffs)).mul(poly)
             shifted = mc.PolyTriple(times_x(t.u), times_x(t.v), times_x(t.w))
             assert mc.to_vector(shifted) == mc.cyclic_shift(v)
 

@@ -109,6 +109,19 @@ def test_mindist_text(capsys):
     assert "min Gray distance 3 (exact" in out
 
 
+@pytest.mark.parametrize("header, block", [("0 0 5", "| | {}"), ("0 7 0", "| {} |")], ids=["z8^5", "z4^7"])
+def test_mindist_is_exact_on_identity_codes_above_the_pair_limit(capsys, tmp_path, header, block):
+    # 2^15 and 2^14 words: an all-pairs sweep would exceed 2^26 pairs.
+    n = int(header.split()[1]) + int(header.split()[2])
+    rows = [block.format(" ".join("1" if j == i else "0" for j in range(n))) for i in range(n)]
+    path = tmp_path / "identity.mtx"
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    code, out, _ = run(capsys, "additive", "mindist", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["distance"] == 1 and payload["exact"] is True
+
+
 def test_mindist_bounded_search_under_budget(capsys):
     code, out, _ = run(capsys, "additive", "mindist", REF, "--max-codewords", "10", "--seed", "1")
     assert code == 0

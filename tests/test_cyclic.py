@@ -99,7 +99,7 @@ def x_times(t):
     def xp(poly):
         coeffs = [0] * poly.length
         coeffs[1 % poly.length] = 1
-        return mc.poly_mul_mod(mc.ResiduePoly(poly.exponent, poly.length, tuple(coeffs)), poly)
+        return mc.ResiduePoly(poly.exponent, poly.length, tuple(coeffs)).mul(poly)
     return mc.PolyTriple(xp(t.u), xp(t.v), xp(t.w))
 
 

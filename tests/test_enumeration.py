@@ -1,5 +1,6 @@
 """Exhaustive enumeration, brute-force duals, Gray images, and distances."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -160,13 +161,15 @@ def test_trivial_code_has_undefined_distance():
 
 def test_exact_distance_refuses_before_building_the_gray_image(monkeypatch):
     def unreachable(*args):
-        raise AssertionError("the Gray image was built before the refusal")
+        raise AssertionError("the set was scanned before the refusal")
 
-    monkeypatch.setattr(enumeration, "gray_rows", unreachable)
     identity = ["| | " + " ".join("1" if j == i else "0" for j in range(5)) for i in range(5)]
     G = mc.parse_matrix("0 0 5\n" + "\n".join(identity))
+    C = mc.enumerate_codewords(mc.standard_form(G)[0])
+    monkeypatch.setattr(enumeration, "gray_rows", unreachable)
+    monkeypatch.setattr(enumeration, "subgroup_witness", unreachable)
     with pytest.raises(mc.BudgetError) as info:
-        mc.min_gray_distance(G)
+        mc.min_gray_distance(C)
     assert info.value.required == (1 << 15) ** 2
 
 
@@ -185,3 +188,105 @@ def test_auto_mode_falls_back_to_search_under_budget():
     result = mc.min_gray_distance(G, budget=squeezed)
     assert not result.exact
     assert result.value >= goldens.REF234_MIN_DISTANCE
+
+
+# --------------------------------------------------------------------------
+# differential checks against plain-Python scans over sets of tuples
+
+def triple(split, w):
+    a, b, _ = split
+    return w[:a], w[a:a + b], w[a + b:]
+
+
+def reference_witness(split, rows):
+    """First subgroup violation of a canonically ordered list of flat
+    tuples, found by the scan order subgroup_witness documents."""
+    mods = oracles.mods_for(split)
+    present = set(rows)
+
+    def show(w):
+        return mc.format_vector(mc.MixedVector(mc.AlphabetSplit(*split), *triple(split, w)))
+
+    if not rows:
+        return "empty set: the zero word is missing"
+    if any(rows[0]):
+        return "the zero word is missing"
+    for d in range(2, 8):
+        for x in rows:
+            if tuple(d * e % m for e, m in zip(x, mods)) not in present:
+                return f"{d} * ({show(x)}) is not in the set"
+    for x in rows:
+        for y in rows:
+            if tuple((e + f) % m for e, f, m in zip(x, y, mods)) not in present:
+                return f"({show(x)}) + ({show(y)}) is not in the set"
+    return None
+
+
+@pytest.mark.parametrize("split", [(2, 2, 1), (3, 1, 2), (1, 0, 21), (0, 0, 22), (3, 4, 20)], ids=lambda s: "-".join(map(str, s)))
+def test_subgroup_scan_and_membership_match_a_set_of_tuples(split):
+    # (1, 0, 21) fills all 64 bits of a packed key; the last two exceed
+    # 64 bits and are keyed by row bytes.
+    rng = random.Random(sum(split) * 7)
+    s = mc.AlphabetSplit(*split)
+    mods = oracles.mods_for(split)
+    verdicts = set()
+    for trial in range(12):
+        closure = None
+        while closure is None or len(closure) > 256:
+            gens = [tuple(rng.randrange(m) if rng.random() < 0.3 else 0 for m in mods) for _ in range(rng.randrange(1, 4))]
+            closure = sorted(oracles.span_words(split, [triple(split, g) for g in gens]))
+        rows = list(closure)
+        if trial % 3 == 1 and len(rows) > 1:
+            for _ in range(rng.randrange(1, 3)):
+                rows.pop(rng.randrange(len(rows)))
+        elif trial % 3 == 2:
+            rows = rows[1:]
+        C = mc.CodewordSet(s, np.array(rows, dtype=np.uint8).reshape(len(rows), len(mods)))
+        expected = reference_witness(split, rows)
+        verdicts.add(expected is None)
+        assert mc.subgroup_witness(C) == expected
+        assert mc.check_subgroup(C) == (expected is None)
+        present = set(rows)
+        for w in closure + [tuple(rng.randrange(m) for m in mods) for _ in range(20)]:
+            assert (mc.MixedVector(s, *triple(split, w)) in C) == (w in present)
+    assert verdicts == {True, False}
+
+
+def pairwise_minimum(image):
+    """Least Hamming distance over pairs of distinct rows, or None."""
+    dists = [int((image[i + 1:] != image[i]).sum(axis=1).min()) for i in range(len(image) - 1)]
+    return min(dists) if dists else None
+
+
+def test_min_gray_distance_matches_pairwise_hamming_minimum():
+    rng = random.Random(31)
+    nonlinear = 0
+    for _ in range(25):
+        split, triples = oracles.sample_matrix(rng, max_exponent=8)
+        words = sorted(oracles.span_words(split, triples))
+        image = np.array([oracles.gray(split, w) for w in words], dtype=np.uint8).reshape(len(words), -1)
+        image_set = {tuple(row) for row in image}
+        nonlinear += any(tuple(x ^ y) not in image_set for x in image for y in image)
+        s = mc.AlphabetSplit(*split)
+        G = mc.MixedMatrix(s, [mc.MixedVector(s, *t) for t in triples])
+        C = mc.CodewordSet(s, np.array(words, dtype=np.uint8).reshape(len(words), -1))
+        expected = pairwise_minimum(image)
+        assert mc.min_gray_distance(G).value == expected
+        assert mc.min_gray_distance(C).value == expected
+        # Without its first and last words the set is no subgroup.
+        partial = mc.CodewordSet(s, np.array(words[1:-1], dtype=np.uint8).reshape(-1, len(words[0])))
+        assert mc.min_gray_distance(partial).value == pairwise_minimum(image[1:-1])
+    assert nonlinear >= 3
+
+
+def test_subgroup_witness_names_a_violation_past_the_first_chunk():
+    # S = C u (f + C) u (e + C) with C = {00} x Z4 x Z8^3 (2048 words) and
+    # e, f the two Z2 unit words: closed under scalars, and every sum is in S
+    # except f + e, which first appears at row 2048 (x = f, y = e), beyond
+    # the first chunk of pairwise sums.
+    split = mc.AlphabetSplit(2, 1, 3)
+    tail = np.array(list(itertools.product(range(4), *[range(8)] * 3)), dtype=np.uint8)
+    cosets = [np.hstack([np.tile(np.array(head, dtype=np.uint8), (len(tail), 1)), tail]) for head in ((0, 0), (0, 1), (1, 0))]
+    S = mc.CodewordSet(split, np.vstack(cosets))
+    assert len(S) == 3 * 2048
+    assert mc.subgroup_witness(S) == "(0 1 | 0 | 0 0 0) + (1 0 | 0 | 0 0 0) is not in the set"

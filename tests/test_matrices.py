@@ -64,7 +64,7 @@ def test_standard_form_tracks_column_permutations():
 
 def test_type_invariant_under_row_shuffles_and_unit_scaling():
     G = ref234()
-    base = mc.extract_type(mc.standard_form(G)[0])
+    base = mc.standard_form(G)[0].code_type
     rng = random.Random(1)
     for _ in range(5):
         rows = list(G.rows)
@@ -72,7 +72,7 @@ def test_type_invariant_under_row_shuffles_and_unit_scaling():
         unit = rng.choice((3, 5, 7))
         rows[0] = mc.scalar_mul(unit, rows[0])
         shuffled = mc.MixedMatrix(G.split, rows)
-        assert mc.extract_type(mc.standard_form(shuffled)[0]) == base
+        assert mc.standard_form(shuffled)[0].code_type == base
 
 
 def test_row_count_matches_type():
