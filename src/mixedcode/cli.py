@@ -23,7 +23,6 @@ from mixedcode.core import (
     SplitMismatchError,
     format_bits,
     format_rows,
-    format_vector,
 )
 from mixedcode.cyclic import (
     ConditionError,
@@ -31,6 +30,7 @@ from mixedcode.cyclic import (
     cyclic_closure_witness,
     cyclic_size,
     parse_generators,
+    shift_rows,
     spanning_set,
     validate_generators,
 )
@@ -139,7 +139,7 @@ def _cmd_standard_form(args) -> int:
     payload = _type_payload(t)
     payload.update(
         cardinality=cardinality(t),
-        rows=[format_vector(r) for r in M.rows],
+        rows=format_rows(M.split, M.array),
         columns={"z2": list(perm.z2), "z4": list(perm.z4), "z8": list(perm.z8)},
     )
     artifact = "".join(f"# {line}\n" for line in lines[:-1]) + format_matrix(M).rstrip("\n")
@@ -162,7 +162,7 @@ def _cmd_dual(args) -> int:
     dt = dual_type(blocks.code_type)
     lines = [f"dual type {dt}", f"cardinality {cardinality(dt)}", format_matrix(H).rstrip("\n")]
     payload = _type_payload(dt)
-    payload.update(cardinality=cardinality(dt), rows=[format_vector(r) for r in H.rows])
+    payload.update(cardinality=cardinality(dt), rows=format_rows(H.split, H.array))
     artifact = "".join(f"# {line}\n" for line in lines[:-1]) + format_matrix(H).rstrip("\n")
     _emit(args, lines, payload, artifact)
     return EXIT_OK
@@ -249,7 +249,7 @@ def _cmd_cyclic_matrix(args) -> int:
         "beta": g.split.beta,
         "theta": g.split.theta,
         "groups": {name: len(rows) for name, rows in sset.groups},
-        "rows": [format_vector(r) for r in sset.matrix.rows],
+        "rows": format_rows(g.split, sset.matrix.array),
     }
     _emit(args, lines, payload)
     return EXIT_OK
@@ -304,11 +304,10 @@ def _oracle_matrix(text: str, budget: EnumerationBudget) -> list:
     ))
     violation = subgroup_witness(C, budget)
     checks.append(("span subgroup closure", violation is None, violation or ""))
-    minimal_rows = len(blocks.matrix().rows)
-    if len(G.rows) > minimal_rows:
+    if len(G) > sum(blocks.code_type.k):
         # More rows than a minimal generating set: treat the file as a
         # purported codeword listing, which must already be closed.
-        listing = CodewordSet.from_vectors(split, G.rows)
+        listing = CodewordSet(split, G.array)
         ok = listing == C
         checks.append((
             "row-set closure (codeword listing)",
@@ -337,21 +336,6 @@ def _oracle_matrix(text: str, budget: EnumerationBudget) -> list:
             f"skipped: ambient 2^{split.ambient_exponent} exceeds --max-ambient",
         ))
     return checks
-
-
-def _set_shift_closed(D: CodewordSet) -> bool:
-    """A finite set is shift-stable iff its shifted image equals itself."""
-    a, b, _ = D.split
-    arr = D.array
-    shifted = np.concatenate(
-        [
-            np.roll(arr[:, :a], 1, axis=1),
-            np.roll(arr[:, a:a + b], 1, axis=1),
-            np.roll(arr[:, a + b:], 1, axis=1),
-        ],
-        axis=1,
-    )
-    return CodewordSet(D.split, shifted) == D
 
 
 def _oracle_generators(text: str, budget: EnumerationBudget) -> list:
@@ -385,7 +369,8 @@ def _oracle_generators(text: str, budget: EnumerationBudget) -> list:
             identity,
             f"|C| = {len(C)}, |dual| = {len(D)}, ambient 2^{split.ambient_exponent}",
         ))
-        checks.append(("dual shift closure", _set_shift_closed(D), ""))
+        # A finite set is shift-stable iff its shifted image equals itself.
+        checks.append(("dual shift closure", CodewordSet(split, shift_rows(split, D.array)) == D, ""))
     else:
         checks.append((
             "duality identity",

@@ -38,9 +38,6 @@ PHI2 = (
     (1, 0, 0, 0),
 )
 
-# A binary word is just a tuple of bits.
-BinaryVector = tuple
-
 
 class SplitMismatchError(ValueError):
     """Two vectors or matrices disagree on (alpha, beta, theta)."""
@@ -94,6 +91,11 @@ class AlphabetSplit:
 
     def __str__(self):
         return f"({self.alpha}, {self.beta}, {self.theta})"
+
+
+def moduli_row(split: AlphabetSplit) -> np.ndarray:
+    """The modulus of each coordinate, Z2 block first, as one uint8 row."""
+    return np.repeat(np.array(MODULI, dtype=np.uint8), tuple(split))
 
 
 def _check_block(name: str, entries: Sequence[int], length: int, modulus: int) -> tuple:
@@ -206,7 +208,7 @@ def gray_phi2(w: int) -> tuple:
     return PHI2[w]
 
 
-def gray_map(x: MixedVector) -> BinaryVector:
+def gray_map(x: MixedVector) -> tuple:
     """Concatenate u, phi1 of each Z4 entry, phi2 of each Z8 entry."""
     bits = list(x.u)
     for a in x.v:

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from mixedcode.core import AlphabetSplit, MixedVector, ParseError
-from mixedcode.matrices import MixedMatrix, is_member, standard_form
+from mixedcode.matrices import MixedMatrix, cardinality, reduce_rows, standard_form
 
 GENERATOR_KEYS = ("f", "l1", "l2", "g1", "a1", "g2", "p", "q", "r")
 
@@ -272,6 +274,13 @@ def cyclic_shift(x: MixedVector) -> MixedVector:
         return block[-1:] + block[:-1]
 
     return MixedVector(x.split, rot(x.u), rot(x.v), rot(x.w))
+
+
+def shift_rows(split: AlphabetSplit, arr: np.ndarray) -> np.ndarray:
+    """cyclic_shift of every row of an (m, alpha + beta + theta) array."""
+    a, b, c = split
+    source = np.concatenate([np.roll(np.arange(n), 1) + start for n, start in ((a, 0), (b, a), (c, a + b))])
+    return arr[:, source]
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +590,6 @@ class SpanningSet:
     groups: tuple  # ((name, (PolyTriple, ...)), ...) in output row order
     matrix: MixedMatrix
 
-    def group(self, name: str) -> tuple:
-        for key, rows in self.groups:
-            if key == name:
-                return rows
-        raise KeyError(name)
-
     @property
     def group_sizes(self) -> dict:
         return {name: len(rows) for name, rows in self.groups}
@@ -629,17 +632,20 @@ def spanning_set(g: CyclicGenerators) -> SpanningSet:
 
 
 def cyclic_size(g: CyclicGenerators) -> int:
-    """Closed-form code size from the cofactor degrees.
+    """Code size, in closed form from the cofactor degrees when it holds.
 
     The formula assumes the generators are in canonical form: beyond the six
     validated conditions, every spanning row must have the additive order the
     construction assigns it, which pins down to the requirement that
     x^beta - 1 divides q_cofactor * g2 mod 2. Generators violating that
     (possible while still passing validation) span a strictly larger code
-    than reported here; `oracle check` catches the mismatch on small inputs.
+    than the formula counts, so for them the size is read from the type of
+    the standard form of the spanning rows instead.
     """
     _require_valid(g)
     co = derive_cofactors(g)
+    if not ResiduePoly.from_coeffs(poly_mul(list(co.q_cofactor), list(g.g2), 2), 1, g.split.beta).is_zero():
+        return cardinality(standard_form(spanning_set(g).matrix)[0].code_type)
     exponent = (
         poly_deg(list(co.f_cofactor))
         + 2 * poly_deg(list(co.g1_cofactor))
@@ -658,13 +664,12 @@ def cyclic_closure_witness(M: MixedMatrix):
     commutes with the scalar action, so shift-stable generators span a
     shift-stable code.
     """
-    if not len(M.rows):
+    if not len(M):
         return None
     blocks, perm = standard_form(M)
-    for i, row in enumerate(M.rows):
-        if not is_member(cyclic_shift(row), blocks, perm):
-            return i
-    return None
+    residuals = reduce_rows(shift_rows(M.split, M.array)[:, perm.source_index()], blocks)
+    outside = np.flatnonzero(residuals.any(axis=1))
+    return int(outside[0]) if outside.size else None
 
 
 def check_cyclic_closure(M: MixedMatrix) -> bool:

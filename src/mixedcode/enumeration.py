@@ -21,6 +21,7 @@ from mixedcode.core import (
     MixedVector,
     SplitMismatchError,
     format_rows,
+    moduli_row,
 )
 from mixedcode.matrices import MixedMatrix, StandardFormBlocks, cardinality
 
@@ -45,10 +46,6 @@ class EnumerationBudget:
     def __post_init__(self):
         if self.max_codewords < 1 or self.max_ambient < 1:
             raise ValueError("budgets must be positive")
-
-
-def _moduli_row(split: AlphabetSplit) -> np.ndarray:
-    return np.array([2] * split.alpha + [4] * split.beta + [8] * split.theta, dtype=np.uint8)
 
 
 def _row_entries(x: MixedVector) -> np.ndarray:
@@ -94,7 +91,7 @@ class CodewordSet:
 
     def __init__(self, split: AlphabetSplit, array: np.ndarray):
         array = np.asarray(array, dtype=np.uint8).reshape(-1, split.alpha + split.beta + split.theta)
-        if np.any(array >= _moduli_row(split)):
+        if np.any(array >= moduli_row(split)):
             # Packed keys give each entry only the bits of its modulus.
             raise ValueError(f"entries out of range for split {split}")
         object.__setattr__(self, "split", split)
@@ -150,33 +147,6 @@ class CodewordSet:
                 tuple(int(e) for e in row[a + b:]),
             )
 
-    @property
-    def words(self) -> frozenset:
-        return frozenset(self)
-
-    def blocks(self):
-        """(U, V, W) views of the stored rows."""
-        a, b, _ = self.split
-        return self.array[:, :a], self.array[:, a:a + b], self.array[:, a + b:]
-
-
-def row_order(x: MixedVector) -> int:
-    """Additive order of a word (1, 2, 4, or 8)."""
-    order = 1
-    if any(x.u):
-        order = 2
-    for e in x.v:
-        if e:
-            order = max(order, 4 // (2 if e == 2 else 1))
-    for e in x.w:
-        if e % 2 == 1:
-            order = max(order, 8)
-        elif e == 2 or e == 6:
-            order = max(order, 4)
-        elif e == 4:
-            order = max(order, 2)
-    return order
-
 
 def enumerate_codewords(B: StandardFormBlocks, budget: EnumerationBudget | None = None) -> CodewordSet:
     """Materialize the full code of a template matrix.
@@ -192,15 +162,14 @@ def enumerate_codewords(B: StandardFormBlocks, budget: EnumerationBudget | None 
         raise BudgetError("code too large to enumerate", size)
     split = B.split
     width = split.alpha + split.beta + split.theta
-    mods = _moduli_row(split)
+    mods = moduli_row(split)
     rows = np.hstack([B.U, B.V, B.W]).astype(np.int64)
     orders = [o for o, count in zip((2, 4, 2, 8, 4, 2), t.k) for _ in range(count)]
-    mods8 = mods.astype(np.uint8)
     words = np.zeros((1, width), dtype=np.uint8)
     for row, order in zip(rows, orders):
         mults = np.array([(c * row) % mods for c in range(order)], dtype=np.uint8)
         # entries stay below 8, so uint8 sums cannot wrap
-        words = (words[:, None, :] + mults[None, :, :]) % mods8
+        words = (words[:, None, :] + mults[None, :, :]) % mods
         words = words.reshape(-1, width)
     return CodewordSet(split, words)
 
@@ -213,12 +182,11 @@ def closure_from_rows(M: MixedMatrix, budget: EnumerationBudget | None = None) -
     budget = budget or EnumerationBudget()
     split = M.split
     width = split.alpha + split.beta + split.theta
-    mods = _moduli_row(split)
-    mods8 = mods.astype(np.uint8)
+    mods = moduli_row(split)
     words = np.zeros((1, width), dtype=np.uint8)
-    for vec in M.rows:
-        row = _row_entries(vec).astype(np.int64)
-        order = row_order(vec)
+    for row in M.array.astype(np.int64):
+        # The additive order of a word: the largest order among its entries.
+        order = int(np.max(mods // np.gcd(mods, row)))
         if order == 1:
             continue
         mults = np.array([(c * row) % mods for c in range(order)], dtype=np.uint8)
@@ -228,7 +196,7 @@ def closure_from_rows(M: MixedMatrix, budget: EnumerationBudget | None = None) -
         acc = None
         for start in range(0, words.shape[0], step):
             block = words[start:start + step]
-            cand = ((block[:, None, :] + mults[None, :, :]) % mods8).reshape(-1, width)
+            cand = ((block[:, None, :] + mults[None, :, :]) % mods).reshape(-1, width)
             acc = cand if acc is None else np.concatenate([acc, cand])
             acc = _unique_rows(split, acc)
             if acc.shape[0] > budget.max_codewords:
@@ -259,7 +227,7 @@ def subgroup_witness(S: CodewordSet, budget: EnumerationBudget | None = None):
         return "the zero word is missing"
     # Every modulus is a power of two; entries stay below 8, so uint8
     # products and sums cannot wrap before the mask reduces them.
-    masks = _moduli_row(split) - 1
+    masks = moduli_row(split) - 1
 
     def show(row) -> str:
         return format_rows(split, row.reshape(1, -1))[0]
@@ -284,7 +252,7 @@ def subgroup_witness(S: CodewordSet, budget: EnumerationBudget | None = None):
 
 def _ambient_array(split: AlphabetSplit) -> np.ndarray:
     """All ambient words, one per row, in lexicographic order."""
-    mods = _moduli_row(split).astype(np.int64)
+    mods = moduli_row(split).astype(np.int64)
     total = 1
     strides = np.zeros(len(mods), dtype=np.int64)
     for i in range(len(mods) - 1, -1, -1):
@@ -398,11 +366,11 @@ def _binary_only_span(M: MixedMatrix, cap: int = 1 << 16) -> np.ndarray:
     """GF(2) span of the rows whose Z4 and Z8 blocks vanish (their only
     effect on a Gray image is XOR on the binary block)."""
     alpha = M.split.alpha
-    U, V, W = M.arrays()
-    pure = [i for i in range(len(M.rows)) if not V[i].any() and not W[i].any() and U[i].any()]
+    U, rest = M.array[:, :alpha], M.array[:, alpha:]
+    pure = np.flatnonzero(U.any(axis=1) & ~rest.any(axis=1)).tolist()
     span = np.zeros((1, alpha), dtype=np.uint8)
     for i in pure:
-        row = U[i].astype(np.uint8)
+        row = U[i]
         span = _unique_rows(AlphabetSplit(alpha, 0, 0), np.vstack([span, (span + row) % 2]).astype(np.uint8))
         if span.shape[0] > cap:
             # Too many completions to minimize over; let the random sweep
@@ -420,8 +388,8 @@ def _search_distance(M: MixedMatrix, seed: int = 0, rounds: int = 4000) -> Dista
     """
     split = M.split
     rng = np.random.default_rng(seed)
-    mods = _moduli_row(split).astype(np.int64)
-    rows = np.hstack([a for a in M.arrays()]).astype(np.int64)
+    mods = moduli_row(split).astype(np.int64)
+    rows = M.array.astype(np.int64)
     span, pure = _binary_only_span(M)
     mixed_idx = [i for i in range(rows.shape[0]) if i not in pure]
 

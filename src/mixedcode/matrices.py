@@ -37,11 +37,10 @@ from mixedcode.core import (
     MixedVector,
     ParseError,
     SplitMismatchError,
-    format_vector,
+    format_rows,
+    moduli_row,
     parse_vector,
 )
-
-MODS = (2, 4, 8)
 
 SECTIONS = (
     "z2_id", "z2_rest",
@@ -202,60 +201,76 @@ class ColumnPermutation:
         )
 
     def apply(self, m: "MixedMatrix") -> "MixedMatrix":
-        return MixedMatrix(m.split, [self.apply_to_vector(r) for r in m.rows])
+        return MixedMatrix.from_array(m.split, m.array[:, self.source_index()])
 
 
 class MixedMatrix:
-    """An ordered list of mixed vectors sharing a split; its rows generate a
-    code under the Z8 scalar action."""
+    """An ordered list of mixed words sharing a split; its rows generate a
+    code under the Z8 scalar action.
 
-    __slots__ = ("split", "rows", "_arrays")
+    The words are held as one read-only uint8 array of shape
+    (m, alpha + beta + theta), Z2 block first. `rows` gives them as
+    MixedVectors, built on first use for a matrix made from an array.
+    """
+
+    __slots__ = ("split", "array", "_rows")
 
     def __init__(self, split: AlphabetSplit, rows):
         rows = tuple(rows)
         for r in rows:
             if r.split != split:
                 raise SplitMismatchError(f"row split {r.split} does not match matrix split {split}")
+        # Entries are checked residues below 8, so each block packs as bytes.
+        packed = b"".join([bytes(r.u) + bytes(r.v) + bytes(r.w) for r in rows])
+        arr = np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), split.alpha + split.beta + split.theta)
+        self._set(split, arr, rows)
+
+    @classmethod
+    def from_array(cls, split: AlphabetSplit, arr) -> "MixedMatrix":
+        """A matrix whose rows are the rows of an (m, alpha + beta + theta)
+        integer array; entries out of range for the split are rejected."""
+        arr = np.asarray(arr)
+        width = split.alpha + split.beta + split.theta
+        if arr.ndim != 2 or arr.shape[1] != width:
+            raise ValueError(f"expected an array of {width} columns for split {split}, got shape {arr.shape}")
+        if np.any((arr < 0) | (arr >= moduli_row(split))):
+            raise ValueError(f"entries out of range for split {split}")
+        m = object.__new__(cls)
+        m._set(split, arr.astype(np.uint8), None)
+        return m
+
+    def _set(self, split: AlphabetSplit, arr: np.ndarray, rows) -> None:
+        arr.flags.writeable = False
         object.__setattr__(self, "split", split)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_arrays", None)
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("MixedMatrix is immutable")
 
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            a, b, _ = self.split
+            rows = tuple(MixedVector(self.split, r[:a], r[a:a + b], r[a + b:]) for r in self.array.tolist())
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
     def __len__(self):
-        return len(self.rows)
+        return self.array.shape[0]
 
     def __eq__(self, other):
         return (
             isinstance(other, MixedMatrix)
             and self.split == other.split
-            and self.rows == other.rows
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self):
-        return hash((self.split, self.rows))
-
-    @classmethod
-    def from_arrays(cls, split: AlphabetSplit, U, V, W) -> "MixedMatrix":
-        rows = [
-            MixedVector(split, tuple(int(x) for x in u), tuple(int(x) for x in v), tuple(int(x) for x in w))
-            for u, v, w in zip(U, V, W)
-        ]
-        return cls(split, rows)
-
-    def arrays(self):
-        """The three blocks as int64 arrays of shape (m, alpha/beta/theta)."""
-        if self._arrays is None:
-            m = len(self.rows)
-            U = np.array([r.u for r in self.rows], dtype=np.int64).reshape(m, self.split.alpha)
-            V = np.array([r.v for r in self.rows], dtype=np.int64).reshape(m, self.split.beta)
-            W = np.array([r.w for r in self.rows], dtype=np.int64).reshape(m, self.split.theta)
-            object.__setattr__(self, "_arrays", (U, V, W))
-        return self._arrays
+        return hash((self.split, self.array.tobytes()))
 
     def __repr__(self):
-        return f"MixedMatrix(split={self.split}, rows={len(self.rows)})"
+        return f"MixedMatrix(split={self.split}, rows={len(self)})"
 
 
 class StandardFormBlocks:
@@ -287,14 +302,8 @@ class StandardFormBlocks:
     def __setattr__(self, name, value):
         raise AttributeError("StandardFormBlocks is immutable")
 
-    @classmethod
-    def from_matrix(cls, m: MixedMatrix, code_type: CodeType) -> "StandardFormBlocks":
-        """Adopt an already-templated matrix (rows in k0..k5 order)."""
-        U, V, W = m.arrays()
-        return cls(code_type, U, V, W)
-
     def matrix(self) -> MixedMatrix:
-        return MixedMatrix.from_arrays(self.split, self.U, self.V, self.W)
+        return MixedMatrix.from_array(self.split, np.hstack([self.U, self.V, self.W]))
 
     def row_slice(self, row_class: int) -> slice:
         start = sum(self.code_type.k[:row_class])
@@ -315,7 +324,7 @@ class StandardFormBlocks:
 def _sections(t: CodeType) -> dict:
     """Section name -> (block index 0/1/2 for Z2/Z4/Z8, column slice) in
     the permuted frame of a type-t template. Cached per type, because
-    `reduce_vector` reads it on every membership test; callers must not
+    `reduce_rows` reads it on every membership test; callers must not
     mutate it."""
     z4 = (0, t.k1, t.k1 + t.k2, t.beta)
     z8 = (0, t.k3, t.k3 + t.k4, t.k3 + t.k4 + t.k5, t.theta)
@@ -377,54 +386,42 @@ def standard_form(G: MixedMatrix) -> tuple:
     canonical residues above earlier pivots.
     """
     split = G.split
-    m = len(G.rows)
-    blocks = [a.copy() for a in G.arrays()]
-    assigned = [None] * m
-    pivots_by_class = {c: [] for c in range(6)}
-    pivot_cols = {b: set() for b in range(3)}
+    # uint8 arithmetic wraps mod 256, which every modulus divides, so masking
+    # with modulus - 1 after each step gives the canonical residue.
+    masks = moduli_row(split) - 1
+    A = np.array(G.array)
+    edges = np.cumsum((0,) + tuple(split)).tolist()
+    free = np.ones(A.shape[0], dtype=bool)
+    unpivoted = np.ones(A.shape[1], dtype=bool)
+    pivots_by_class = [[] for _ in range(6)]
 
     for cls, b, val in _PHASES:
-        A = blocks[b]
+        lo, hi = edges[b], edges[b + 1]
         scale = 1 << val
         while True:
-            found = None
-            for col in range(A.shape[1]):
-                if col in pivot_cols[b]:
-                    continue
-                for row in range(m):
-                    if assigned[row] is not None:
-                        continue
-                    entry = int(A[row, col])
-                    if entry % scale == 0 and (entry // scale) % 2 == 1:
-                        found = (row, col)
-                        break
-                if found:
-                    break
-            if not found:
+            # Entries 2^val times a unit, in free rows and unpivoted columns.
+            mask = ((A[:, lo:hi] & (2 * scale - 1)) == scale) & free[:, None] & unpivoted[None, lo:hi]
+            hit = mask.any(axis=0)
+            if not hit.any():
                 break
-            row, col = found
-            unit = int(A[row, col]) // scale
-            d = pow(unit, -1, 8)
-            for j in range(3):
-                blocks[j][row] = blocks[j][row] * d % MODS[j]
-            for r2 in range(m):
-                if r2 == row:
-                    continue
-                coef = int(blocks[b][r2, col]) // scale
-                if coef:
-                    for j in range(3):
-                        blocks[j][r2] = (blocks[j][r2] - coef * blocks[j][row]) % MODS[j]
-            assigned[row] = cls
-            pivots_by_class[cls].append((row, col))
-            pivot_cols[b].add(col)
+            c = int(np.argmax(hit))
+            row = int(np.argmax(mask[:, c]))
+            col = lo + c
+            A[row] = A[row] * pow(int(A[row, col]) // scale, -1, 8) & masks
+            coef = A[:, col] // scale
+            coef[row] = 0
+            others = np.flatnonzero(coef)
+            A[others] = (A[others] - np.outer(coef[others], A[row])) & masks
+            free[row] = False
+            unpivoted[col] = False
+            pivots_by_class[cls].append((row, c))
 
-    for row in range(m):
-        if assigned[row] is None and any(np.any(blocks[j][row]) for j in range(3)):
-            raise RuntimeError("reduction left a nonzero unclassified row; this is a bug")
+    if np.any(A[free]):
+        raise RuntimeError("reduction left a nonzero unclassified row; this is a bug")
 
     def block_perm(b: int, classes) -> tuple:
         lead = [col for cls in classes for _, col in pivots_by_class[cls]]
-        rest = [c for c in range(blocks[b].shape[1]) if c not in pivot_cols[b]]
+        rest = np.flatnonzero(unpivoted[edges[b]:edges[b + 1]]).tolist()
         return tuple(lead + rest)
 
     perm = ColumnPermutation(
@@ -432,44 +429,34 @@ def standard_form(G: MixedMatrix) -> tuple:
         block_perm(1, (1, 2)),
         block_perm(2, (3, 4, 5)),
     )
-    row_order = [row for cls in range(6) for row, _ in pivots_by_class[cls]]
-    U = blocks[0][row_order][:, perm.z2]
-    V = blocks[1][row_order][:, perm.z4]
-    W = blocks[2][row_order][:, perm.z8]
-    ks = [len(pivots_by_class[c]) for c in range(6)]
-    t = CodeType(split.alpha, split.beta, split.theta, *ks)
+    row_order = np.array([row for rows in pivots_by_class for row, _ in rows], dtype=np.intp)
+    U, V, W = np.split(A[row_order][:, perm.source_index()], edges[1:3], axis=1)
+    t = CodeType(split.alpha, split.beta, split.theta, *(len(rows) for rows in pivots_by_class))
     return StandardFormBlocks(t, U, V, W), perm
 
 
-def reduce_vector(x: MixedVector, B: StandardFormBlocks) -> MixedVector:
-    """Residual of x after greedy reduction against the template rows.
+def reduce_rows(arr: np.ndarray, B: StandardFormBlocks) -> np.ndarray:
+    """Residuals of the rows of an (m, alpha + beta + theta) array after
+    greedy reduction against the template rows, as a uint8 array.
 
-    x must already live in the blocks' (permuted) frame. The residual is
-    zero exactly when x lies in the generated code, because within the
-    reduction order each pivot column is touched by no later row.
+    The rows must already live in the blocks' (permuted) frame. A residual
+    row is zero exactly when its row lies in the generated code, because
+    within the reduction order each pivot column is touched by no later row.
     """
-    if x.split != B.split:
-        raise SplitMismatchError(f"vector split {x.split} does not match {B.split}")
-    vec = [np.array(x.u, dtype=np.int64), np.array(x.v, dtype=np.int64), np.array(x.w, dtype=np.int64)]
-    arrays = (B.U, B.V, B.W)
     t = B.code_type
+    masks = moduli_row(B.split) - 1  # exact on wrapping uint8, as in standard_form
+    R = np.array(arr, dtype=np.uint8)
+    template = np.hstack([B.U, B.V, B.W]).astype(np.uint8)
+    offsets = np.cumsum((0,) + tuple(B.split)).tolist()
     sections = _sections(t)
     for cls in _REDUCE_ORDER:
-        rows = B.row_slice(cls)
+        first = B.row_slice(cls).start
         b, cols = sections[_PIVOT_SECTION[cls]]
-        scale = _CLASS_SCALE[cls]
         for i in range(t.k[cls]):
-            coef = int(vec[b][cols.start + i]) // scale
-            if coef:
-                r = rows.start + i
-                for j in range(3):
-                    vec[j] = (vec[j] - coef * arrays[j][r]) % MODS[j]
-    return MixedVector(
-        x.split,
-        tuple(int(a) for a in vec[0]),
-        tuple(int(a) for a in vec[1]),
-        tuple(int(a) for a in vec[2]),
-    )
+            coef = R[:, offsets[b] + cols.start + i] // _CLASS_SCALE[cls]
+            hit = np.flatnonzero(coef)
+            R[hit] = (R[hit] - np.outer(coef[hit], template[first + i])) & masks
+    return R
 
 
 def is_member(x: MixedVector, B: StandardFormBlocks, perm: ColumnPermutation | None = None) -> bool:
@@ -478,30 +465,32 @@ def is_member(x: MixedVector, B: StandardFormBlocks, perm: ColumnPermutation | N
     Pass the permutation returned by standard_form when x is expressed in
     the original column order.
     """
+    if x.split != B.split:
+        raise SplitMismatchError(f"vector split {x.split} does not match {B.split}")
+    row = np.array([x.entries()], dtype=np.uint8)
     if perm is not None:
-        x = perm.apply_to_vector(x)
-    return reduce_vector(x, B).is_zero()
+        row = row[:, perm.source_index()]
+    return not reduce_rows(row, B).any()
 
 
 def _gram(G: MixedMatrix, H: MixedMatrix):
     """All pairwise weighted products, reduced mod 8."""
     if G.split != H.split:
         raise SplitMismatchError(f"cannot pair matrices of splits {G.split} and {H.split}")
-    UG, VG, WG = G.arrays()
-    UH, VH, WH = H.arrays()
-    return (4 * (UG @ UH.T) + 2 * (VG @ VH.T) + WG @ WH.T) % 8
+    weights = np.repeat(np.array((4, 2, 1), dtype=np.int64), tuple(G.split))
+    return (G.array * weights) @ H.array.T.astype(np.int64) % 8
 
 
 def verify_orthogonality(G: MixedMatrix, H: MixedMatrix) -> bool:
     """True iff every row of G pairs to 0 with every row of H."""
-    if not len(G.rows) or not len(H.rows):
+    if not len(G) or not len(H):
         return True
     return not np.any(_gram(G, H))
 
 
 def first_violation(G: MixedMatrix, H: MixedMatrix):
     """(i, j, product) for the first non-orthogonal row pair, or None."""
-    if not len(G.rows) or not len(H.rows):
+    if not len(G) or not len(H):
         return None
     gram = _gram(G, H)
     hits = np.argwhere(gram)
@@ -610,7 +599,7 @@ def dual_matrix(B: StandardFormBlocks) -> MixedMatrix:
     V = stack([h1_z4, h2_z4, h3_z4, h4_z4, h5_z4, h6_z4]) % 4
     W = stack([h1_z8, h2_z8, h3_z8, h4_z8, h5_z8, h6_z8]) % 8
 
-    H = MixedMatrix.from_arrays(B.split, U, V, W)
+    H = MixedMatrix.from_array(B.split, np.hstack([U, V, W]))
     violation = first_violation(B.matrix(), H)
     if violation is not None:
         raise DualConstructionError(*violation)
@@ -620,7 +609,7 @@ def dual_matrix(B: StandardFormBlocks) -> MixedMatrix:
 def format_matrix(M: MixedMatrix) -> str:
     """Text form: `alpha beta theta` header, then one row per line."""
     lines = [f"{M.split.alpha} {M.split.beta} {M.split.theta}"]
-    lines.extend(format_vector(r) for r in M.rows)
+    lines.extend(format_rows(M.split, M.array))
     return "\n".join(lines) + "\n"
 
 

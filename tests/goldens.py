@@ -145,8 +145,9 @@ CYC1577_MATRIX_ROWS = (
 # noncanon: all six validation conditions hold, yet the span is four times
 # the count formula (the S5 row has additive order 4 because 2 * h_q * g2
 # does not vanish mod (4, x^beta - 1)). Regression anchor for the boundary
-# between validate_generators (documented conditions), cyclic_size
-# (documented formula), and the oracle command (must catch the mismatch).
+# between validate_generators (documented conditions) and cyclic_size, which
+# must notice the violated canonicity condition and count the span instead
+# of applying the formula.
 
 NONCANON_LENGTHS = (7, 3, 3)
 NONCANON_POLYS = {
@@ -160,6 +161,16 @@ NONCANON_POLYS = {
 }
 NONCANON_FORMULA_SIZE = 64
 NONCANON_SPAN_SIZE = 256
+
+# --------------------------------------------------------------------------
+# sha256 of the concatenated `additive standard-form --json` and
+# `additive dual --json` reports on the inputs of test_cli._pinned_inputs:
+# 24 seeded sampled matrices (some with duplicated or unit-scaled rows) and
+# the spanning matrix of cyc1577.gen. Recorded with the row-by-row
+# elimination that standard_form used before it was vectorized.
+
+STANDARD_FORM_JSON_SHA256 = "a10e5a1573433b651d504d216ba90f89581f3d595df986e80e07e63eaa9cdbfe"
+DUAL_JSON_SHA256 = "9a397bd0725632e302aa61eaed9323b2cff9c123d66c4a8c119b63987fccfe73"
 
 # --------------------------------------------------------------------------
 # Gray tables, re-frozen by hand from the defining map (do not derive these

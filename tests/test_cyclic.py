@@ -2,6 +2,7 @@
 cofactors, the spanning matrix, sizes, and shift closure."""
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -234,17 +235,68 @@ def test_non_cyclic_row_is_detected():
     assert mc.cyclic_closure_witness(M) == 0
 
 
+def _sampled_rows(seed, count):
+    """Seeded sampled matrices; every fourth is closed under the shift by
+    construction, holding every shift of its rows."""
+    rng = random.Random(seed)
+    for i in range(count):
+        split, rows = oracles.sample_matrix(rng, max_exponent=9)
+        if i % 4 == 0:
+            orbit = []
+            for row in rows:
+                w = oracles.flatten(row)
+                while w not in orbit:
+                    orbit.append(w)
+                    w = oracles.block_shift(split, w)
+            a, b, _ = split
+            rows = [(w[:a], w[a:a + b], w[a + b:]) for w in orbit]
+        yield i, split, rows
+
+
+def _matrix(split, rows):
+    s = mc.AlphabetSplit(*split)
+    return mc.MixedMatrix(s, [mc.MixedVector(s, *r) for r in rows])
+
+
+def test_closure_witness_is_the_first_row_whose_shift_leaves_the_span():
+    open_count = 0
+    for sample, split, rows in _sampled_rows(17, 40):
+        span = oracles.span_words(split, rows)
+        expected = next(
+            (i for i, r in enumerate(rows) if oracles.block_shift(split, oracles.flatten(r)) not in span),
+            None,
+        )
+        assert expected is None or sample % 4
+        open_count += expected is not None
+        assert mc.cyclic_closure_witness(_matrix(split, rows)) == expected
+    assert open_count >= 20
+
+
+def test_shift_rows_is_the_cyclic_shift_of_each_row():
+    for _, split, rows in _sampled_rows(19, 20):
+        M = _matrix(split, rows)
+        shifted = mc.shift_rows(M.split, M.array)
+        assert [tuple(r) for r in shifted.tolist()] == [mc.cyclic_shift(r).entries() for r in M.rows]
+
+
 # --------------------------------------------------------------------------
 # the canonicity boundary
 
 def test_formula_and_span_disagree_off_canonical_form():
     """All six conditions can hold while an S5 row has additive order 4;
-    the count formula then undershoots the true span. The library keeps the
-    documented formula and the oracle command reports the mismatch."""
+    the cofactor-degree formula then undershoots the true span, so
+    cyclic_size must not use it there."""
     g = mc.load_generators(DATA / "noncanon.gen")
     assert tuple(g.split) == goldens.NONCANON_LENGTHS
     assert mc.validate_generators(g).ok
-    assert mc.cyclic_size(g) == goldens.NONCANON_FORMULA_SIZE
+    co = mc.derive_cofactors(g)
+    formula_log2 = (
+        oracles.pdeg(list(co.f_cofactor)) + 2 * oracles.pdeg(list(co.g1_cofactor))
+        + 3 * oracles.pdeg(list(co.p_cofactor)) + 2 * oracles.pdeg(list(co.p_over_q))
+        + oracles.pdeg(list(co.q_over_r)) + oracles.pdeg(list(co.g1_over_a1))
+    )
+    assert 1 << formula_log2 == goldens.NONCANON_FORMULA_SIZE
+    assert mc.cyclic_size(g) == goldens.NONCANON_SPAN_SIZE
     C = mc.closure_from_rows(mc.spanning_set(g).matrix)
     assert len(C) == goldens.NONCANON_SPAN_SIZE
     hq = oracles.pdivmod(oracles.xn1(g.split.theta, 8), list(g.q), 8)[0]

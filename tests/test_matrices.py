@@ -1,8 +1,10 @@
 """Generator matrices: standard form, types, duals, membership, text I/O."""
 
+import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mixedcode as mc
@@ -145,7 +147,37 @@ def test_generator_rows_are_members():
     blocks, perm = mc.standard_form(G)
     for row in G.rows:
         assert mc.is_member(row, blocks, perm)
-        assert mc.reduce_vector(row, blocks).is_zero()
+        assert mc.is_member(row, blocks)
+
+
+def test_reduce_rows_is_zero_exactly_on_the_span():
+    rng = random.Random(13)
+    for _ in range(30):
+        split, rows = oracles.sample_matrix(rng, max_exponent=8)
+        span = oracles.span_words(split, rows)
+        ambient = list(itertools.product(*(range(m) for m in oracles.mods_for(split))))
+        blocks, perm = mc.standard_form(rows_to_matrix(split, rows))
+        residuals = mc.reduce_rows(np.array(ambient, dtype=np.uint8)[:, perm.source_index()], blocks)
+        assert [not r.any() for r in residuals] == [w in span for w in ambient]
+
+
+def test_is_member_rejects_a_foreign_split():
+    blocks, _ = mc.standard_form(ref234())
+    other = mc.AlphabetSplit(2, 3, 3)
+    with pytest.raises(mc.SplitMismatchError):
+        mc.is_member(mc.MixedVector.zero(other), blocks)
+
+
+def test_matrix_from_array_checks_ranges_and_matches_rows():
+    s = mc.AlphabetSplit(1, 1, 1)
+    for bad in ([[2, 0, 0]], [[0, 4, 0]], [[0, 0, 8]], [[0, -1, 0]]):
+        with pytest.raises(ValueError, match="out of range"):
+            mc.MixedMatrix.from_array(s, np.array(bad))
+    G = ref234()
+    again = mc.MixedMatrix.from_array(G.split, np.array([r.entries() for r in G.rows]))
+    assert again == G and hash(again) == hash(G)
+    assert again.rows == G.rows and len(again) == len(G.rows)
+    assert not again.array.flags.writeable
 
 
 def test_claimed_reduction_rows_fall_outside_the_span():
